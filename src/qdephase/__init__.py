@@ -36,6 +36,7 @@ from .errors import (
     InvalidModelError,
     ModelMismatchError,
     NotPositiveDefiniteError,
+    PaddingWarning,
     QDephaseError,
     SingularKernelError,
     UnderdeterminedError,
@@ -44,9 +45,11 @@ from .gridops import (
     BoundaryCondition,
     CorrelationMatrix,
     KernelMatrix,
+    WindowPrecision,
     correlation_at,
     discretize_kernel,
     kernel_to_correlation,
+    window_precision,
 )
 
 __version__ = "0.1.0"

@@ -23,10 +23,8 @@ from . import __version__
 from ._io import config_hash, write_csv
 from .analytic import (
     HarmonicNoiseParams,
-    QuenchedOUParams,
     harmonic_mode,
     harmonic_spectrum,
-    quenched_ou_bispectrum,
     stationary_spectrum,
 )
 from .control import optimize_pulse_times, protection_report
@@ -228,7 +226,13 @@ def cmd_correlate(config, args, out: Path) -> int:
     spec, bc = build_kernel(config)
     grid = build_grid(config)
     corr = kernel_to_correlation(discretize_kernel(spec, grid), bc)
-    meta = _metadata(config, args, {"bc": bc.value, **{f"pad_{k}": v for k, v in corr.meta.items()}})
+    # padding note verbatim; an edge ratio that does not apply (unpadded solve) reads n/a
+    pad_meta = {
+        f"pad_{k}": "n/a" if v is None else v for k, v in corr.meta.items() if k != "padding"
+    }
+    meta = _metadata(
+        config, args, {"bc": bc.value, "padding": corr.meta["padding"], **pad_meta}
+    )
     times = grid.times
     rows = [[times[i]] + list(corr.mat[i]) for i in range(grid.n_points)]
     write_csv(
@@ -464,7 +468,6 @@ def scenario_fig2b(args, out: Path) -> int:
 
 def scenario_fig3(args, out: Path) -> int:
     """Quenched-diffusion two-frequency spectrum and its eigen-spectrum."""
-    p = QuenchedOUParams(1.0, 1.0)
     grid = TimeGrid(0.0, 30.0, 1501)
     corr = kernel_to_correlation(
         discretize_kernel(ornstein_uhlenbeck(1.0, 1.0), grid),
@@ -486,7 +489,6 @@ def scenario_fig3(args, out: Path) -> int:
         om = dec.dominant_frequencies[j]
         if om > 5.0 or dec.eigenvalues[j] < 1e-6:
             continue
-        regular = quenched_ou_bispectrum(p, om, om)
         rows.append((j, om, dec.eigenvalues[j], 1.0 / (1.0 + om**2)))
     write_csv(
         out / "fig3b_eigenspectrum.csv",

@@ -247,13 +247,17 @@ class StationaryPolynomialKernel(LocalInTimeKernel):
         c = self.coeffs_a[k - 1] if k - 1 < len(self.coeffs_a) else None
         return _as_matrix(0.0 if c is None else c, self.n)
 
-    def frequency_matrix(self, omega: float) -> np.ndarray:
-        """The matrix polynomial whose inverse is the stationary spectrum."""
-        acc = np.zeros((self.n, self.n), dtype=complex)
+    def frequency_matrix(self, omega: float | np.ndarray) -> np.ndarray:
+        """The matrix polynomial whose inverse is the stationary spectrum.
+
+        An array of frequencies gives a stack of shape ``omega.shape + (n, n)``.
+        """
+        w = np.asarray(omega, dtype=float)[..., None, None]
+        acc = np.zeros(w.shape[:-2] + (self.n, self.n), dtype=complex)
         for k in range(self.order + 1):
-            acc += self.h_matrix(k) * omega ** (2 * k)
+            acc += self.h_matrix(k) * w ** (2 * k)
         for k in range(1, self.order + 1):
-            acc += 1j * self.a_matrix(k) * omega ** (2 * k - 1)
+            acc += 1j * self.a_matrix(k) * w ** (2 * k - 1)
         return acc
 
 
@@ -465,11 +469,9 @@ def control_pulse_train(
     times = grid.times
     inside = _window_mask(times, t0, t0 + duration, tol)
     # number of pulses at or before each time fixes the sign (right-continuous)
-    flips = np.zeros(grid.n_points)
     sign = np.ones(grid.n_points)
     for p in pulses:
         sign[times >= p - tol] *= -1.0
-        flips[grid.index_of(p)] += 1.0
     values = np.where(inside, g * sign, 0.0)
     avg = values.copy()
     for p in pulses:

@@ -55,3 +55,7 @@ class IllConditionedError(QDephaseError):
     def __init__(self, message: str, condition_number: float | None = None):
         super().__init__(message)
         self.condition_number = condition_number
+
+
+class PaddingWarning(UserWarning):
+    """The pad around the window leaves edge correlations above ``edge_tol``."""

@@ -7,16 +7,32 @@ diagonal), so that ``(a|D|b) ~ dt^2 a^T K b`` and the correlation matrix is
 forward differences, which keeps the matrix banded with half-bandwidth equal
 to the kernel order and gives the lattice spectrum
 ``sum_k D_k (4 sin^2(w dt/2) / dt^2)^k`` on periodic grids.
+
+The boundary condition is realized once, by :func:`window_precision`: the
+kernel is re-assembled on a padded grid and the pads are eliminated onto the
+window.  The result, the window's marginal precision ``S`` (Rue & Held,
+*Gaussian Markov Random Fields*, ch. 2), stays banded with the kernel's
+half-bandwidth, and ``G = S^{-1} / dt^2``.  A :class:`CorrelationMatrix`
+carries ``S`` and its banded Cholesky factor: attenuation exponents,
+propagator covariances and precision-factor draws each cost O(m * bandwidth).
+The dense ``G`` is built only on access to ``CorrelationMatrix.mat``, which
+the ``correlate`` CSV, ``decompose``, the bispectrum and
+``factorize_covariance`` use; a :class:`DenseKernel` keeps a dense Cholesky
+factor of its unpadded matrix.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .core import (
     DenseKernel,
@@ -28,6 +44,7 @@ from .core import (
 from .errors import (
     DomainError,
     NotPositiveDefiniteError,
+    PaddingWarning,
     SingularKernelError,
 )
 
@@ -39,8 +56,8 @@ __all__ = [
     "kernel_to_correlation",
     "correlation_at",
     "smallest_eigenvalue",
-    "padded_system",
-    "PaddedSystem",
+    "window_precision",
+    "WindowPrecision",
 ]
 
 
@@ -49,47 +66,66 @@ class BoundaryCondition(enum.Enum):
     DIRICHLET_AT_QUENCH = "dirichlet_at_quench"
 
 
-def forward_difference(m: int, dt: float, order: int, periodic: bool = False) -> sp.csr_matrix:
-    """k-fold forward difference operator; rows are stencil centers.
-
-    Non-periodic operators drop the trailing ``order`` rows, which realizes the
-    natural (free) boundary closure of the variational form.
-    """
-    if order == 0:
-        return sp.identity(m, format="csr")
-    coeffs = np.array(
+def _difference_stencil(order: int, dt: float) -> np.ndarray:
+    """k-fold forward difference coefficients at offsets 0..order."""
+    return np.array(
         [(-1.0) ** (order - j) * math.comb(order, j) for j in range(order + 1)]
     ) / dt**order
-    if periodic:
-        cols = [np.arange(m)] + [(np.arange(m) + j) % m for j in range(1, order + 1)]
-        rows = np.tile(np.arange(m), order + 1)
-        data = np.repeat(coeffs, m)
-        cols = np.concatenate(cols)
-        return sp.csr_matrix((data, (rows, cols)), shape=(m, m))
-    nrows = m - order
-    if nrows <= 0:
-        raise DomainError(f"grid too short for derivative order {order}")
-    offsets = list(range(order + 1))
-    return sp.diags(coeffs, offsets, shape=(nrows, m), format="csr")
 
 
-def _row_average(m_rows_in: int, periodic: bool) -> sp.csr_matrix:
-    """Average adjacent rows: maps ``m_rows_in`` rows to ``m_rows_in - 1`` (or wraps)."""
-    if periodic:
-        return sp.diags([0.5, 0.5, 0.5], [0, 1, -(m_rows_in - 1)], shape=(m_rows_in, m_rows_in), format="csr")
-    return sp.diags([0.5, 0.5], [0, 1], shape=(m_rows_in - 1, m_rows_in), format="csr")
+def _local_terms(spec: LocalInTimeKernel, grid: TimeGrid, periodic: bool) -> list:
+    """The form as ``sum_r (P_r x)^T M_r (Q_r x)``: one ``(p, q, M)`` per term.
+
+    ``p`` and ``q`` are stencils over offsets 0.. from row ``r``, ``M`` the
+    per-row coefficient blocks times ``dt``.  Non-periodic grids drop the
+    trailing ``k`` rows of a k-th derivative, which realizes the natural
+    (free) boundary closure of the variational form.  The cross terms pair
+    the k-th difference with the (k-1)-th re-centered on the k-stencil rows.
+    """
+    m, dt, times = grid.n_points, grid.dt, grid.times
+    terms = []
+    for k in range(spec.order + 1):
+        if not periodic and m - k <= 0:
+            raise DomainError(f"grid too short for derivative order {k}")
+        mid = times if periodic else times[: m - k] + k * dt / 2.0
+        blocks = spec.h_values(mid, k)
+        if np.any(blocks):
+            c = _difference_stencil(k, dt)
+            terms.append((c, c, blocks * dt))
+    for k in range(1, spec.order + 1):
+        if not np.any(spec.a_values(times, k)):
+            continue
+        mid = times if periodic else times[: m - k] + k * dt / 2.0
+        c1 = _difference_stencil(k - 1, dt)
+        recentered = 0.5 * (np.append(c1, 0.0) + np.insert(c1, 0, 0.0))
+        terms.append((_difference_stencil(k, dt), recentered, spec.a_values(mid, k) * dt))
+    return terms
 
 
-def _block_weight(c_blocks: np.ndarray, dt: float) -> sp.csr_matrix:
-    """Block-diagonal matrix of per-row coefficient blocks scaled by dt."""
-    nrows, n, _ = c_blocks.shape
-    if n == 1:
-        return sp.diags(c_blocks[:, 0, 0] * dt, format="csr")
-    return sp.block_diag([c_blocks[i] * dt for i in range(nrows)], format="csr")
+def _assemble_local(terms: list, m: int, n: int, hb: int, periodic: bool) -> np.ndarray:
+    """Symmetric part of the summed terms: lower bands, or dense when periodic.
 
-
-def _expand_channels(op: sp.spmatrix, n: int) -> sp.csr_matrix:
-    return op.tocsr() if n == 1 else sp.kron(op, sp.identity(n), format="csr")
+    Entry ``(r+i, r+j)`` (channel block ``a, b``) of a term receives
+    ``p_i q_j M_r[a, b]`` for every row ``r`` at once, as one strided slice;
+    indices wrap on periodic grids.
+    """
+    size = m * n
+    out = np.zeros((size, size) if periodic else (hb + 1, size))
+    for p, q, mats in terms:
+        rows = len(mats)
+        r = np.arange(rows)
+        for i, j, a, b in itertools.product(range(len(p)), range(len(q)), range(n), range(n)):
+            w = (0.5 * p[i] * q[j]) * mats[:, a, b]
+            if periodic:
+                x, y = ((r + i) % m) * n + a, ((r + j) % m) * n + b
+                out[x, y] += w
+                out[y, x] += w
+                continue
+            # lower entry of the (row, col)/(col, row) pair; a diagonal entry is both
+            d = (i - j) * n + a - b
+            start = j * n + b if d >= 0 else i * n + a
+            out[abs(d), start : start + rows * n : n] += 2.0 * w if d == 0 else w
+    return out
 
 
 @dataclass
@@ -124,6 +160,14 @@ class KernelMatrix:
             self._dense = out
         return self._dense
 
+    def sparse(self) -> sp.csr_matrix:
+        if not self.is_banded:
+            return sp.csr_matrix(self.dense())
+        nb, size = self._bands.shape
+        diags = [self._bands[d, : size - d] for d in range(nb)]
+        offsets = list(range(1 - nb, nb))
+        return sp.diags(diags[:0:-1] + diags, offsets, format="csr")
+
     def bands(self) -> np.ndarray:
         if self._bands is None:
             raise SingularKernelError("kernel matrix has no banded storage")
@@ -146,15 +190,6 @@ def _banded_matvec(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _sparse_to_lower_bands(mat: sp.spmatrix, hb: int) -> np.ndarray:
-    size = mat.shape[0]
-    coo = mat.tocoo()
-    bands = np.zeros((hb + 1, size))
-    keep = coo.row >= coo.col
-    np.add.at(bands, (coo.row[keep] - coo.col[keep], coo.col[keep]), coo.data[keep])
-    return bands
-
-
 def discretize_kernel(
     spec: KernelSpec,
     grid: TimeGrid,
@@ -169,40 +204,16 @@ def discretize_kernel(
     m, n, dt = grid.n_points, spec.n, grid.dt
     times = grid.times
     if isinstance(spec, LocalInTimeKernel):
-        order = spec.order
-        form = sp.csr_matrix((m * n, m * n))
-        for k in range(order + 1):
-            dk = forward_difference(m, dt, k, periodic)
-            mid = times[: dk.shape[0]] + k * dt / 2.0 if not periodic else times
-            blocks = spec.h_values(mid, k)
-            if not np.any(blocks):
-                continue
-            dk_n = _expand_channels(dk, n)
-            form = form + dk_n.T @ _block_weight(blocks, dt) @ dk_n
-        for k in range(1, order + 1):
-            if not np.any(spec.a_values(times, k)):
-                continue
-            dk = forward_difference(m, dt, k, periodic)
-            dk1 = forward_difference(m, dt, k - 1, periodic)
-            avg = _row_average(dk1.shape[0], periodic)
-            ek = avg @ dk1  # (k-1)-derivative re-centered on the k-stencil rows
-            mid = times[: dk.shape[0]] + k * dt / 2.0 if not periodic else times
-            cross = (
-                _expand_channels(dk, n).T
-                @ _block_weight(spec.a_values(mid, k), dt)
-                @ _expand_channels(ek, n)
-            )
-            form = form + 0.5 * (cross + cross.T)
-        kmat = form / dt**2
-        hb = order * n + (n - 1)
+        hb = spec.order * n + (n - 1)
+        kmat = _assemble_local(_local_terms(spec, grid, periodic), m, n, hb, periodic) / dt**2
         km = KernelMatrix(
             grid=grid,
             n=n,
-            half_bandwidth=order,
+            half_bandwidth=spec.order,
             source_spec=spec,
             periodic=periodic,
-            _bands=None if periodic else _sparse_to_lower_bands(kmat, hb),
-            _dense=kmat.toarray() if periodic else None,
+            _bands=None if periodic else kmat,
+            _dense=kmat if periodic else None,
         )
     elif isinstance(spec, DenseKernel):
         tt = np.meshgrid(times, times, indexing="ij")
@@ -260,41 +271,8 @@ def smallest_eigenvalue(km: KernelMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# correlation matrices
+# window precision and correlation matrices
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CorrelationMatrix:
-    """Discretized correlation function ``G[i, j] ~ <B(t_i) B(t_j)>``."""
-
-    grid: TimeGrid
-    n: int
-    mat: np.ndarray
-    bc: BoundaryCondition
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        return self.grid.n_points * self.n
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        n = self.n
-        return self.mat[i * n : (i + 1) * n, j * n : (j + 1) * n]
-
-
-@dataclass
-class PaddedSystem:
-    """Kernel matrix re-assembled on a padded grid, with the window location.
-
-    ``dropped`` counts leading flattened indices removed by a Dirichlet clamp.
-    """
-
-    kernel: KernelMatrix
-    padded_grid: TimeGrid
-    window_start: int  # grid index of the original t_start within the padded grid
-    dropped: int
-    meta: dict
 
 
 def _estimate_tau(spec: KernelSpec, grid: TimeGrid) -> float:
@@ -310,104 +288,316 @@ def _estimate_tau(spec: KernelSpec, grid: TimeGrid) -> float:
     return float((norm_top / norm_bottom) ** (1.0 / (2 * spec.order)))
 
 
-def padded_system(
-    km: KernelMatrix,
-    bc: BoundaryCondition,
-    pad_factor: float = 5.0,
-    pad_steps: int | None = None,
-) -> PaddedSystem:
-    """Re-assemble the kernel on a padded grid realizing the boundary condition.
-
-    Decay at infinity pads both sides; the quench clamp removes the field at
-    the window start (Dirichlet) and pads only the late-time side.  Kernels
-    without a reusable source spec are used as-is (no padding possible).
-    """
-    spec, grid = km.source_spec, km.grid
-    meta: dict = {"bc": bc.value}
-    if km.periodic:
-        raise DomainError("boundary conditions do not apply to periodic test grids")
-    if spec is None:
-        meta["padding"] = "unavailable (no source spec); natural boundary closure"
-        pad = 0
-    elif pad_steps is not None:
-        pad = int(pad_steps)
-    else:
-        tau = _estimate_tau(spec, grid)
-        pad = int(math.ceil(pad_factor * tau / grid.dt)) if tau > 0 else 0
-    if spec is not None and isinstance(spec, DenseKernel):
-        pad = 0 if pad_steps is None else pad
-    left = pad if bc is BoundaryCondition.DECAY_AT_INFINITY else 0
-    right = pad
-    if spec is None:
-        pgrid = grid
-        pkm = km
-    else:
-        pgrid = grid.extended(left, right)
-        pkm = discretize_kernel(spec, pgrid, check=False)
-    dropped = km.n if bc is BoundaryCondition.DIRICHLET_AT_QUENCH else 0
-    meta.update({"pad_steps_left": left, "pad_steps_right": right, "pad_factor": pad_factor})
-    return PaddedSystem(pkm, pgrid, left, dropped, meta)
+def _band_block(bands: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Dense block ``A[rows][:, cols]`` of a symmetric matrix in lower banded storage."""
+    hbw = bands.shape[0] - 1
+    r, c = rows[:, None], cols[None, :]
+    d = np.abs(r - c)
+    return np.where(d <= hbw, bands[np.minimum(d, hbw), np.minimum(r, c)], 0.0)
 
 
-def _solve_columns(pk: KernelMatrix, dropped: int, cols: np.ndarray) -> np.ndarray:
-    """Rows of K^{-1} for unit vectors at ``cols`` (flattened padded indices)."""
-    size = pk.size
-    keep = slice(dropped, size)
-    rhs = np.zeros((size - dropped, len(cols)))
-    for j, c in enumerate(cols):
-        if c >= dropped:
-            rhs[c - dropped, j] = 1.0
+def _factor_banded(bands: np.ndarray) -> np.ndarray:
     try:
-        if pk.is_banded:
-            cb = sla.cholesky_banded(pk.bands()[:, keep], lower=True)
-            sol = sla.cho_solve_banded((cb, True), rhs)
-        else:
-            cf = sla.cho_factor(pk.dense()[keep, keep])
-            sol = sla.cho_solve(cf, rhs)
+        return sla.cholesky_banded(bands, lower=True)
     except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
         raise SingularKernelError(f"kernel factorization failed: {exc}") from None
-    out = np.zeros((size, len(cols)))
-    out[keep] = sol
-    return out
+
+
+def _pad_schur(
+    pad_bands: np.ndarray, coupling: np.ndarray, pad_cols: np.ndarray, edge_cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate one pad block ``A`` coupled to the window through ``B``.
+
+    ``coupling`` is the dense block of ``B`` over the pad indices ``pad_cols``
+    that touch the window.  Returns the window corner correction
+    ``B A^{-1} B^T`` and, for each pad edge index ``e`` in ``edge_cols``, the
+    vector ``B A^{-1} e``, whose window solve is minus the edge row of the
+    padded inverse.  Costs one banded factorization and ``hb + n`` solves.
+    """
+    cols = np.concatenate([pad_cols, edge_cols])
+    rhs = np.zeros((pad_bands.shape[1], len(cols)))
+    rhs[cols, np.arange(len(cols))] = 1.0
+    x = sla.cho_solve_banded((_factor_banded(pad_bands), True), rhs, overwrite_b=True)
+    bx = coupling @ x[pad_cols]
+    k = len(pad_cols)
+    return bx[:, :k] @ coupling.T, bx[:, k:]
+
+
+def _subtract_corner(bands: np.ndarray, corner: np.ndarray, offset: int) -> None:
+    ii, jj = np.tril_indices(len(corner))
+    bands[ii - jj, offset + jj] -= corner[ii, jj]
+
+
+@dataclass
+class WindowPrecision:
+    """Marginal precision of the boundary-closed kernel on the window grid.
+
+    ``bands`` holds the window precision ``S`` in lower banded storage over
+    the kept flattened indices (kernel-value units), ``factor`` its lower
+    Cholesky factor, so that ``G = S^{-1} / dt^2``; the ``dropped`` leading
+    indices are clamped to zero by the quench.  ``S`` is the Schur complement
+    of the padded kernel onto the window: banded with the kernel's
+    half-bandwidth, differing from the unpadded window kernel only in its
+    first and last ``hb`` rows.  A dense kernel keeps its dense Cholesky
+    factor instead (``bands`` is ``None``).
+    """
+
+    grid: TimeGrid
+    n: int
+    dropped: int
+    bands: np.ndarray | None
+    factor: np.ndarray
+    meta: dict
+
+    @property
+    def size(self) -> int:
+        return self.grid.n_points * self.n
+
+    @property
+    def kept(self) -> int:
+        return self.size - self.dropped
+
+    @property
+    def is_banded(self) -> bool:
+        return self.bands is not None
+
+    def _lower_solve(self, b: np.ndarray, trans: str) -> np.ndarray:
+        """``L^{-1} b`` (``trans="N"``) or ``L^{-T} b`` (``"T"``); may overwrite ``b``."""
+        if self.is_banded:
+            x, info = lapack.dtbtrs(self.factor, b, uplo="L", trans=trans, overwrite_b=1)
+            if info:
+                raise SingularKernelError(f"banded triangular solve failed (info {info})")
+            return x
+        return sla.solve_triangular(self.factor, b, lower=True, trans=trans, overwrite_b=True)
+
+    def quadratic_form(self, v: np.ndarray) -> float:
+        """``v^T G v`` for a flattened window vector, from one triangular solve."""
+        y = self._lower_solve(np.array(v[self.dropped :, None], dtype=float, order="F"), "N")
+        return float(np.sum(y * y)) / self.grid.dt**2
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``G @ rhs`` for flattened window vectors stacked as columns."""
+        rhs = np.asarray(rhs, dtype=float)
+        out = np.zeros(rhs.shape)
+        out[self.dropped :] = self._cho_solve(rhs[self.dropped :]) / self.grid.dt**2
+        return out
+
+    def _cho_solve(self, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        if self.is_banded:
+            return sla.cho_solve_banded((self.factor, True), b, overwrite_b=overwrite)
+        return sla.cho_solve((self.factor, True), b, overwrite_b=overwrite)
+
+    def dense(self) -> np.ndarray:
+        """The full correlation matrix ``G``; O(size^2 * bandwidth) when banded."""
+        g = self._cho_solve(np.eye(self.kept), overwrite=True)
+        g = (g + g.T) * (0.5 / self.grid.dt**2)
+        if not self.dropped:
+            return g
+        out = np.zeros((self.size, self.size))
+        out[self.dropped :, self.dropped :] = g
+        return out
+
+    def color(self, z: np.ndarray) -> np.ndarray:
+        """Draws from ``N(0, G)``, one per column of the standard normals ``z``.
+
+        ``z`` has ``kept`` rows; ``x = L^{-T} z / dt`` has covariance
+        ``S^{-1} / dt^2 = G``.  Clamped rows come out exactly zero.
+        """
+        x = self._lower_solve(z, "T")
+        x /= self.grid.dt
+        if not self.dropped:
+            return x
+        out = np.zeros((self.size, z.shape[1]))
+        out[self.dropped :] = x
+        return out
+
+
+def _edge_ratio(prec: WindowPrecision, edge_rhs: np.ndarray, probes: int = 16) -> float:
+    """Upper bound on max |G_padded[pad edge, window]| / max |G_window|.
+
+    The numerator is exact: each edge row is one window solve.  For a PSD
+    matrix the largest entry sits on the diagonal, and the diagonal entries
+    at ``probes`` evenly spaced indices bound it from below.
+    """
+    kept, ne = prec.kept, edge_rhs.shape[1]
+    idx = np.unique(np.linspace(0, kept - 1, probes).round().astype(int))
+    rhs = np.zeros((kept, ne + len(idx)))
+    rhs[:, :ne] = edge_rhs[prec.dropped :]
+    rhs[idx, ne + np.arange(len(idx))] = 1.0
+    x = prec._cho_solve(rhs, overwrite=True)
+    diag_max = x[idx, ne + np.arange(len(idx))].max()
+    return float(np.abs(x[:, :ne]).max() / diag_max) if diag_max > 0 else 0.0
+
+
+def window_precision(
+    km: KernelMatrix,
+    bc: BoundaryCondition = BoundaryCondition.DECAY_AT_INFINITY,
+    pad_factor: float | None = None,
+    edge_tol: float = 1e-6,
+    pad_steps: int | None = None,
+) -> WindowPrecision:
+    """Close the kernel with ``bc`` and eliminate the pads onto the window.
+
+    Decay at infinity pads both sides; the quench clamp removes the field at
+    the window start (Dirichlet) and pads only the late-time side.  The pad
+    is ``pad_factor`` correlation times, by default ``2 ln(1/edge_tol)`` of
+    them; each pad block is factored on its own, so the pad costs
+    O(pad * hb^2).  The edge ratio is checked once and a
+    :class:`PaddingWarning` raised when it exceeds ``edge_tol``.  Unpadded
+    solves (dense kernels, order-0 kernels, ``pad_steps=0``, no source spec)
+    record ``edge_ratio = None`` and say why in ``meta["padding"]``.
+    """
+    if km.periodic:
+        raise DomainError("boundary conditions do not apply to periodic test grids")
+    grid, n, size = km.grid, km.n, km.size
+    dropped = n if bc is BoundaryCondition.DIRICHLET_AT_QUENCH else 0
+    factor = 2.0 * math.log(1.0 / edge_tol) if pad_factor is None else float(pad_factor)
+    meta: dict = {
+        "bc": bc.value,
+        "pad_factor": factor,
+        "pad_steps_left": 0,
+        "pad_steps_right": 0,
+        "edge_ratio": None,
+        "edge_tol": edge_tol,
+    }
+    if not km.is_banded:
+        if pad_steps:
+            raise DomainError("padding applies to banded (local-in-time) kernels only")
+        meta["padding"] = "none: dense kernel, natural boundary closure"
+        try:
+            chol = np.linalg.cholesky(km.dense()[dropped:, dropped:])
+        except np.linalg.LinAlgError as exc:
+            raise SingularKernelError(f"kernel factorization failed: {exc}") from None
+        return WindowPrecision(grid, n, dropped, None, chol, meta)
+
+    spec = km.source_spec
+    if spec is None:
+        pad, note = 0, "none: no source spec, natural boundary closure"
+    elif pad_steps is not None:
+        pad, note = int(pad_steps), "none: pad_steps=0, natural boundary closure"
+    else:
+        tau = _estimate_tau(spec, grid)
+        pad = int(math.ceil(factor * tau / grid.dt)) if tau > 0 else 0
+        note = "none: an order-0 kernel couples no grid points, so no pad is needed"
+    left = pad if bc is BoundaryCondition.DECAY_AT_INFINITY else 0
+    right = pad
+    meta.update(pad_steps_left=left, pad_steps_right=right)
+    if pad:
+        pb = discretize_kernel(spec, grid.extended(left, right), check=False).bands()
+    else:
+        pb = km.bands()
+    lo, hi = left * n, left * n + size
+    hbw = pb.shape[0] - 1
+    s = pb[:, lo:hi].copy()
+    for d in range(1, hbw + 1):
+        s[d, size - d :] = 0.0  # these entries couple the last rows to the right pad
+    kw = min(hbw, size)
+    edge_rhs = np.zeros((size, 2 * n if left else n))
+    if left:
+        cols = np.arange(max(0, lo - hbw), lo)
+        corner, edge = _pad_schur(
+            pb[:, :lo], _band_block(pb, np.arange(lo, lo + kw), cols), cols, np.arange(n)
+        )
+        _subtract_corner(s, corner, 0)
+        edge_rhs[:kw, n:] = edge
+    if right:
+        rpad = pb.shape[1] - hi
+        cols = np.arange(min(hbw, rpad))
+        corner, edge = _pad_schur(
+            pb[:, hi:],
+            _band_block(pb, np.arange(hi - kw, hi), hi + cols),
+            cols,
+            np.arange(rpad - n, rpad),
+        )
+        _subtract_corner(s, corner, size - kw)
+        edge_rhs[size - kw :, :n] = edge
+    bands = s[:, dropped:]
+    chol = np.asfortranarray(_factor_banded(bands))  # LAPACK layout, no copy per solve
+    prec = WindowPrecision(grid, n, dropped, bands, chol, meta)
+    if not pad:
+        meta["padding"] = note
+        return prec
+    ratio = _edge_ratio(prec, edge_rhs)
+    meta["edge_ratio"] = ratio
+    if ratio <= edge_tol:
+        meta["padding"] = f"padded {pad} steps, edge ratio within edge_tol"
+    else:
+        meta["padding"] = f"insufficient: edge ratio {ratio:.3e} exceeds edge_tol {edge_tol:.1e}"
+        warnings.warn(
+            f"pad of {pad} steps leaves edge ratio {ratio:.3e} > edge_tol {edge_tol:.1e}; "
+            "raise pad_factor or pad_steps",
+            PaddingWarning,
+            stacklevel=3,
+        )
+    return prec
+
+
+class CorrelationMatrix:
+    """Discretized correlation function ``G[i, j] ~ <B(t_i) B(t_j)>``.
+
+    Built by :func:`kernel_to_correlation` it carries the window precision,
+    answers quadratic forms with one banded solve, and builds the dense
+    ``mat`` only on first access (then caches it).  Built from a matrix, as
+    :func:`reconstruct_correlation` does, it is dense from the start.
+    """
+
+    def __init__(
+        self,
+        grid: TimeGrid,
+        n: int,
+        mat: np.ndarray | None = None,
+        bc: BoundaryCondition = BoundaryCondition.DECAY_AT_INFINITY,
+        meta: dict | None = None,
+        precision: WindowPrecision | None = None,
+    ):
+        if mat is None and precision is None:
+            raise DomainError("a correlation matrix needs a dense matrix or a window precision")
+        self.grid = grid
+        self.n = n
+        self.bc = bc
+        self.meta = {} if meta is None else meta
+        self.precision = precision
+        self._mat = None if mat is None else np.asarray(mat, dtype=float)
+
+    @property
+    def mat(self) -> np.ndarray:
+        if self._mat is None:
+            self._mat = self.precision.dense()
+        return self._mat
+
+    @property
+    def is_materialized(self) -> bool:
+        return self._mat is not None
+
+    @property
+    def size(self) -> int:
+        return self.grid.n_points * self.n
+
+    def quadratic_form(self, v: np.ndarray) -> float:
+        """``v^T G v``; a triangular solve when a precision is attached."""
+        if self.precision is not None:
+            return self.precision.quadratic_form(v)
+        return float(v @ self._mat @ v)
+
+    def block(self, i: int, j: int) -> np.ndarray:
+        n = self.n
+        return self.mat[i * n : (i + 1) * n, j * n : (j + 1) * n]
 
 
 def kernel_to_correlation(
     km: KernelMatrix,
     bc: BoundaryCondition = BoundaryCondition.DECAY_AT_INFINITY,
-    pad_factor: float = 5.0,
+    pad_factor: float | None = None,
     edge_tol: float = 1e-6,
     pad_steps: int | None = None,
-    max_doublings: int = 3,
 ) -> CorrelationMatrix:
-    """Invert the kernel to the correlation matrix ``G = K^{-1}/dt^2``.
+    """The correlation ``G = K^{-1}/dt^2`` of the boundary-closed kernel, lazily.
 
-    Padding is grown (up to ``max_doublings`` doublings) until the correlation
-    between the pad edge and the window is below ``edge_tol`` relative to the
-    window maximum; the achieved ratio is recorded in the metadata.
+    Builds the :class:`WindowPrecision` once (see :func:`window_precision` for
+    the padding policy and ``meta``); the dense matrix waits for ``.mat``.
     """
-    n = km.n
-    dt2 = km.grid.dt**2
-    factor = pad_factor
-    for attempt in range(max_doublings + 1):
-        ps = padded_system(km, bc, pad_factor=factor, pad_steps=pad_steps)
-        pk, pgrid = ps.kernel, ps.padded_grid
-        mwin = km.grid.n_points
-        win_flat = np.arange(ps.window_start * n, (ps.window_start + mwin) * n)
-        inv_cols = _solve_columns(pk, ps.dropped, win_flat)
-        gwin = inv_cols[win_flat, :] / dt2
-        edge_rows = list(range(n)) + list(range(pk.size - n, pk.size))
-        edge_vals = np.abs(inv_cols[edge_rows, :]) / dt2
-        gmax = np.abs(gwin).max()
-        edge_ratio = float(edge_vals.max() / gmax) if gmax > 0 else 0.0
-        padded = ps.meta["pad_steps_left"] + ps.meta["pad_steps_right"] > 0
-        if not padded or edge_ratio <= edge_tol or pad_steps is not None:
-            break
-        factor *= 2.0
-    meta = dict(ps.meta)
-    meta["edge_ratio"] = edge_ratio
-    meta["edge_tol"] = edge_tol
-    gwin = 0.5 * (gwin + gwin.T)
-    return CorrelationMatrix(grid=km.grid, n=n, mat=gwin, bc=bc, meta=meta)
+    prec = window_precision(km, bc, pad_factor, edge_tol, pad_steps)
+    return CorrelationMatrix(grid=km.grid, n=km.n, bc=bc, meta=dict(prec.meta), precision=prec)
 
 
 def correlation_at(corr: CorrelationMatrix, t: float, t_prime: float) -> np.ndarray | float:

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import FieldPath, LocalInTimeKernel, TimeGrid
 from .errors import DomainError, IllConditionedError, SingularKernelError
-from .gridops import discretize_kernel
+from .gridops import _estimate_tau, discretize_kernel, window_precision
 
 __all__ = [
     "GeneralizedState",
@@ -127,26 +126,9 @@ def _backward_state_rows(size: int, n: int, idx: int, order: int, dt: float) -> 
     return np.vstack(rows)
 
 
-def _estimate_tau(spec: LocalInTimeKernel) -> float:
-    t = np.zeros(1)
-    top = np.linalg.norm(spec.h_values(t, spec.order)[0])
-    bottom = np.linalg.norm(spec.h_values(t, 0)[0])
-    if bottom <= 0:
-        return 1.0
-    return float((top / bottom) ** (1.0 / (2 * spec.order)))
-
-
 def _form_matrix(spec: LocalInTimeKernel, grid: TimeGrid) -> sp.csr_matrix:
-    km = discretize_kernel(spec, grid, check=False)
-    if km.is_banded:
-        bands = km.bands() * grid.dt**2
-        size = bands.shape[1]
-        mats = [sp.diags(bands[0])]
-        for d in range(1, bands.shape[0]):
-            mats.append(sp.diags(bands[d, : size - d], -d))
-            mats.append(sp.diags(bands[d, : size - d], d))
-        return sum(mats).tocsr()
-    return sp.csr_matrix(km.dense() * grid.dt**2)
+    """The quadratic-form matrix ``dt^2 K`` as assembled, in sparse form."""
+    return discretize_kernel(spec, grid, check=False).sparse() * grid.dt**2
 
 
 def classical_field(
@@ -171,8 +153,9 @@ def classical_field(
     if tf <= t0:
         raise DomainError("tf must exceed t0")
     order, n = spec.order, spec.n
-    dt = (tf - t0) / (n_points - 1)
-    pad = int(math.ceil(pad_factor * _estimate_tau(spec) / dt))
+    window = TimeGrid(t0, tf, n_points)
+    dt = window.dt
+    pad = int(math.ceil(pad_factor * _estimate_tau(spec, window) / dt))
     need_left = boundary == "fixed-end-decay"
     need_right = boundary == "fixed-start-decay"
     grid = TimeGrid(
@@ -210,9 +193,7 @@ def classical_field(
     if not np.all(np.isfinite(sol)):
         raise SingularKernelError("collocation system is singular")
     x = sol[:size]
-    lo, hi = i0, i1 + 1
-    window = TimeGrid(t0, tf, i1 - i0 + 1)
-    vals = x[lo * n : hi * n]
+    vals = x[i0 * n : (i1 + 1) * n]
     return FieldPath(grid=window, values=vals if n == 1 else vals.reshape(-1, n))
 
 
@@ -242,30 +223,24 @@ def _joint_state_covariance(
     t_lo: float,
     t_hi: float,
     resolution: int,
-    pad_factor: float,
+    pad_factor: float | None,
     state_order: int,
 ) -> list[list[np.ndarray]]:
-    """Cross-covariance blocks of the generalized states at the given times."""
+    """Cross-covariance blocks of the generalized states at the given times.
+
+    The window runs ``state_order - 1`` steps past ``t_hi`` so the forward
+    stencil of the last state stays inside it; decay at infinity beyond.
+    """
     n = spec.n
     dt = (t_hi - t_lo) / resolution
-    pad = int(math.ceil(pad_factor * _estimate_tau(spec) / dt))
-    grid = TimeGrid(t_lo - pad * dt, t_hi + pad * dt, resolution + 2 * pad + 1)
-    km = discretize_kernel(spec, grid, check=False)
+    grid = TimeGrid(t_lo, t_hi + (state_order - 1) * dt, resolution + state_order)
+    prec = window_precision(discretize_kernel(spec, grid, check=False), pad_factor=pad_factor)
     size = grid.n_points * n
     stencils = [
         _state_rows(size, n, grid.index_of(t), state_order, grid.dt) for t in times
     ]
     e_all = np.vstack(stencils)  # (len(times) * state_order * n, size)
-    if km.is_banded:
-        bands = km.bands() * grid.dt**2
-        try:
-            cb = sla.cholesky_banded(bands, lower=True)
-        except sla.LinAlgError as exc:
-            raise SingularKernelError(f"kernel factorization failed: {exc}") from None
-        ge = sla.cho_solve_banded((cb, True), e_all.T)
-    else:
-        ge = np.linalg.solve(km.dense() * grid.dt**2, e_all.T)
-    cov = e_all @ ge  # joint covariance of all requested states
+    cov = e_all @ prec.solve(e_all.T)  # joint covariance of all requested states
     b = state_order * n
     nblocks = len(times)
     return [
@@ -294,7 +269,7 @@ def propagator(
     tf: float,
     initial: GeneralizedState,
     resolution: int = 400,
-    pad_factor: float = 8.0,
+    pad_factor: float | None = None,
     state_order: int | None = None,
 ) -> PropagatorGaussian:
     """Conditional Gaussian of the generalized state at ``tf`` given ``t0``.
@@ -336,7 +311,7 @@ def chapman_kolmogorov_check(
     t1: float,
     tf: float,
     resolution: int = 400,
-    pad_factor: float = 8.0,
+    pad_factor: float | None = None,
     state_order: int | None = None,
 ) -> CKReport:
     """Compare propagating t0 -> t1 -> tf (marginalizing the midpoint state)
@@ -351,13 +326,21 @@ def chapman_kolmogorov_check(
     blocks = _joint_state_covariance(
         spec, [t0, t1, tf], t0, tf, resolution, pad_factor, order
     )
-    a01, c01 = _condition(blocks[0][0], blocks[1][0], blocks[1][1])
-    a1f, c1f = _condition(blocks[1][1], blocks[2][1], blocks[2][2])
-    a0f, c0f = _condition(blocks[0][0], blocks[2][0], blocks[2][2])
-    a_comp = a1f @ a01
-    c_comp = c1f + a1f @ c01 @ a1f.T
-    dev_a = float(np.abs(a_comp - a0f).max() / max(1.0, np.abs(a0f).max()))
-    dev_c = float(np.abs(c_comp - c0f).max() / max(np.abs(c0f).max(), 1e-300))
+    initial = GeneralizedState.zero(order, spec.n)
+
+    def conditional(i: int, j: int, ta: float, tb: float) -> PropagatorGaussian:
+        a, c = _condition(blocks[i][i], blocks[j][i], blocks[j][j])
+        return PropagatorGaussian(ta, tb, order, spec.n, a, c, initial)
+
+    comp = conditional(0, 1, t0, t1).compose(conditional(1, 2, t1, tf))
+    direct = conditional(0, 2, t0, tf)
+    dev_a = float(
+        np.abs(comp.mean_map - direct.mean_map).max() / max(1.0, np.abs(direct.mean_map).max())
+    )
+    dev_c = float(
+        np.abs(comp.covariance - direct.covariance).max()
+        / max(np.abs(direct.covariance).max(), 1e-300)
+    )
     return CKReport(
         deviation=max(dev_a, dev_c),
         deviation_mean_map=dev_a,

@@ -15,15 +15,20 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .core import ControlModulation, FieldPath, TimeGrid
-from .errors import DomainError, GridMismatchError, IndefiniteCovarianceError
+from .errors import (
+    DomainError,
+    GridMismatchError,
+    IndefiniteCovarianceError,
+    SingularKernelError,
+)
 from .gridops import (
     BoundaryCondition,
     CorrelationMatrix,
     KernelMatrix,
-    padded_system,
+    WindowPrecision,
+    window_precision,
 )
 
 __all__ = [
@@ -84,33 +89,26 @@ class CovarianceFactor:
 
 @dataclass
 class PrecisionFactor:
-    """Sampler backed by the banded Cholesky factor of the padded kernel form.
+    """Sampler backed by the banded Cholesky factor of the window precision.
 
-    Solving ``R x = z`` against the upper factor of the quadratic-form matrix
-    yields exact draws from ``N(0, G)`` on the padded grid without ever
-    materializing ``G``; the window restriction is a marginalization.
+    With ``S = L L^T`` the window precision, solving the triangular banded
+    system ``L^T x = z / dt`` yields exact draws from ``N(0, G)`` on the
+    window without ever materializing ``G``; the pads are already
+    marginalized out of ``S``.
     """
 
     grid: TimeGrid  # window grid
     n: int
-    _rfact: np.ndarray  # upper banded cholesky of the reduced form matrix
-    _bandwidth: int
-    _padded_points: int
-    _window_start: int
-    _dropped: int
+    precision: WindowPrecision
 
     @property
     def dim(self) -> int:
         return self.grid.n_points * self.n
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        reduced = self._padded_points * self.n - self._dropped
-        z = rng.standard_normal((reduced, count))
-        x = sla.solve_banded((0, self._bandwidth), self._rfact, z)
-        full = np.zeros((self._padded_points * self.n, count))
-        full[self._dropped :] = x
-        lo = self._window_start * self.n
-        return full[lo : lo + self.dim].T
+        # drawn as (count, kept) and transposed: column-major for the solve
+        z = rng.standard_normal((count, self.precision.kept)).T
+        return self.precision.color(z).T
 
 
 def factorize_covariance(
@@ -165,37 +163,18 @@ def factorize_covariance(
 def precision_factor(
     km: KernelMatrix,
     bc: BoundaryCondition = BoundaryCondition.DECAY_AT_INFINITY,
-    pad_factor: float = 5.0,
+    pad_factor: float | None = None,
     pad_steps: int | None = None,
 ) -> PrecisionFactor:
-    """Banded sampling factor straight from a local-in-time kernel matrix."""
+    """Banded sampling factor from the same window precision as
+    :func:`kernel_to_correlation`, so both samplers target one covariance."""
     if not km.is_banded:
         raise DomainError("precision sampling needs a banded kernel matrix")
-    ps = padded_system(km, bc, pad_factor=pad_factor, pad_steps=pad_steps)
-    bands = ps.kernel.bands() * km.grid.dt**2  # quadratic-form matrix
-    reduced = bands[:, ps.dropped :]
-    upper = _lower_to_upper_banded(reduced)
     try:
-        rfact = sla.cholesky_banded(upper, lower=False)
-    except sla.LinAlgError as exc:
+        prec = window_precision(km, bc, pad_factor=pad_factor, pad_steps=pad_steps)
+    except SingularKernelError as exc:
         raise IndefiniteCovarianceError(f"kernel form not positive definite: {exc}") from None
-    return PrecisionFactor(
-        grid=km.grid,
-        n=km.n,
-        _rfact=rfact,
-        _bandwidth=bands.shape[0] - 1,
-        _padded_points=ps.padded_grid.n_points,
-        _window_start=ps.window_start,
-        _dropped=ps.dropped,
-    )
-
-
-def _lower_to_upper_banded(lower: np.ndarray) -> np.ndarray:
-    nb, size = lower.shape
-    upper = np.zeros_like(lower)
-    for d in range(nb):
-        upper[nb - 1 - d, d:] = lower[d, : size - d]
-    return upper
+    return PrecisionFactor(grid=km.grid, n=km.n, precision=prec)
 
 
 @dataclass
